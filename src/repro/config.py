@@ -1,10 +1,12 @@
-"""Validated environment-variable parsing for the runtime knobs.
+"""Validated integer parsing for the runtime knobs.
 
 Every runtime tunable that can come from the environment --
 ``REPRO_BATCH_CONCURRENCY`` (default ``submit_batch`` fan-out),
 ``REPRO_MAX_RESIDENT`` (hot-session cache bound), and the
-``REPRO_SERVER_*`` family of the process-level pod server -- funnels
-through :func:`env_int`, so every knob validates the same way and
+``REPRO_SERVER_*`` family of the process-level pod server -- is an
+integer read through :func:`env_int`; integer constructor arguments
+(e.g. the audit ledger's per-session finding cap) go through
+:func:`parse_int`.  Every knob validates the same way and
 misconfiguration fails with the same clear message shape::
 
     invalid REPRO_BATCH_CONCURRENCY='zero': need an integer >= 1
@@ -49,35 +51,6 @@ def parse_int(
             f"invalid {name}={value!r}: need an integer >= {minimum}"
         )
     return value
-
-
-_FLAG_TRUE = frozenset({"1", "true", "yes", "on"})
-_FLAG_FALSE = frozenset({"0", "false", "no", "off"})
-
-
-def env_flag(
-    name: str,
-    *,
-    default: bool,
-    error: Type[Exception] = SessionError,
-) -> bool:
-    """The boolean value of environment variable ``name``.
-
-    Unset or empty returns ``default``; otherwise the value must spell a
-    boolean (``1/true/yes/on`` or ``0/false/no/off``, case-insensitive).
-    The kill switches of the evaluation stack
-    (``REPRO_COMPILED_KERNELS``, ``REPRO_JOINGRAPH``) parse through
-    here.
-    """
-    raw = os.environ.get(name, "")
-    text = raw.strip().lower()
-    if not text:
-        return default
-    if text in _FLAG_TRUE:
-        return True
-    if text in _FLAG_FALSE:
-        return False
-    raise error(f"invalid {name}={raw!r}: need a boolean flag (0 or 1)")
 
 
 def env_int(

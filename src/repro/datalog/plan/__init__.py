@@ -4,10 +4,9 @@ The evaluation pipeline is explicit and typed:
 
 ``Program`` -> :class:`LogicalPlan` (stratification + per-rule atom
 graphs) -> :class:`Planner` (join ordering: cost-based over
-:class:`~repro.relalg.indexes.FactStore` index statistics with
-connected-subgraph expansion over the rule's join graph, greedy
+:class:`~repro.relalg.indexes.FactStore` index statistics, greedy
 fallback) -> :class:`PhysicalPlan` (``execute`` / ``execute_delta`` /
-``explain``; hot bodies run as compiled closures, see
+``explain``; rule bodies run as compiled closures, see
 :mod:`repro.datalog.plan.kernels`) -> optionally an
 :class:`IncrementalExecutor` for cross-step delta evaluation of flat
 programs over monotone facts.
@@ -30,10 +29,9 @@ from repro.datalog.plan.planner import (
     cost_order,
     greedy_order,
     incremental_executor_for,
-    joingraph_enabled,
     plan_cache_info,
 )
-from repro.datalog.plan.kernels import Kernel, compile_kernel, kernels_enabled
+from repro.datalog.plan.kernels import Kernel, compile_kernel
 from repro.datalog.plan.physical import (
     CATEGORY_DELTA,
     CATEGORY_RECOMPUTE,
@@ -57,10 +55,8 @@ __all__ = [
     "ORDERINGS",
     "greedy_order",
     "cost_order",
-    "joingraph_enabled",
     "Kernel",
     "compile_kernel",
-    "kernels_enabled",
     "compile_program",
     "compile_cached",
     "incremental_executor_for",

@@ -1,10 +1,8 @@
-"""Compiled rule kernels: specialized closures for hot join bodies.
+"""Compiled rule kernels: the executor of every rule body.
 
-The reference executor in :mod:`repro.datalog.plan.physical` interprets
-a rule body per row: for every candidate it walks the atom's terms,
-branching on term kind (constant? variable? bound?) and maintaining a
-binding dict with an undo trail.  Those branches are the same for every
-row -- they depend only on the rule and the join order -- so a *kernel*
+Matching a row against an atom branches on term kind (constant?
+variable? already bound?).  Those branches are the same for every row
+-- they depend only on the rule and the join order -- so a *kernel*
 resolves them once at compile time and runs the join as a chain of
 closures over a flat environment:
 
@@ -17,32 +15,30 @@ closures over a flat environment:
 * negated atoms, inequalities, and the head tuple compile to closures
   reading the same slots.
 
-Kernels enumerate candidates through the columnar side of
+Kernels enumerate candidates through the columnar
 :class:`~repro.relalg.indexes.FactStore` -- :meth:`lookup_ids` id
-buckets dereferenced against the shared :meth:`row_list` -- rather than
-the tuple-bucket index the interpreter uses.
+buckets dereferenced against the shared :meth:`row_list`.
 
 One kernel is compiled per (rule, join order) and cached on the rule
 (see :class:`~repro.datalog.plan.physical.CompiledRule`), with two entry
 points: the full join, and the semi-naive variant whose first level
 enumerates supplied delta rows (filtering constants and bound positions
 explicitly, since those rows bypass the index).  Kernels derive exactly
-the tuples the interpreter derives -- the hypothesis equivalence suite
-in ``tests/test_kernels.py`` pins that -- and ``REPRO_COMPILED_KERNELS=0``
-switches every caller back to the interpreter.
+the tuples the scan-based reference
+(:func:`~repro.datalog.evaluate.evaluate_program_naive`) derives -- the
+hypothesis equivalence suite in ``tests/test_kernels.py`` pins that.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.config import env_flag
 from repro.errors import EvaluationError, PlanError
 from repro.datalog.ast import Constant, Inequality, NegatedAtom
 from repro.datalog.plan.logical import AtomNode, RuleNode
 from repro.relalg.indexes import FactStore
 
-__all__ = ["Kernel", "compile_kernel", "kernels_enabled"]
+__all__ = ["Kernel", "compile_kernel"]
 
 # (is_slot, slot_or_value) recipe entries; a compiled term reference.
 _Part = tuple[bool, object]
@@ -52,11 +48,6 @@ _Check = Callable[[FactStore, list], bool]
 _MODE_CONTAINS = 0
 _MODE_INDEX = 1
 _MODE_SCAN = 2
-
-
-def kernels_enabled() -> bool:
-    """Whether compiled kernels are on (``REPRO_COMPILED_KERNELS``)."""
-    return env_flag("REPRO_COMPILED_KERNELS", default=True, error=PlanError)
 
 
 def _part(term, slot_of: dict) -> _Part:

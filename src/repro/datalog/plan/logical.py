@@ -59,8 +59,7 @@ class RuleNode:
     """
 
     __slots__ = ("rule", "positive", "checks", "pre_checks",
-                 "positive_preds", "negated_preds", "body_preds",
-                 "adjacency")
+                 "positive_preds", "negated_preds", "body_preds")
 
     def __init__(self, rule: Rule) -> None:
         check_rule_safety(rule)
@@ -85,21 +84,6 @@ class RuleNode:
             if isinstance(check, NegatedAtom)
         )
         self.body_preds = self.positive_preds | self.negated_preds
-        # Variable-sharing adjacency between the positive atoms, keyed
-        # by atom index.  Computed once per (process-wide) plan: the
-        # join-graph-aware orderer walks it on every (re)ordering.
-        adjacency: dict[int, set[int]] = {
-            node.index: set() for node in self.positive
-        }
-        for a in self.positive:
-            for b in self.positive:
-                if a.index < b.index and a.variables & b.variables:
-                    adjacency[a.index].add(b.index)
-                    adjacency[b.index].add(a.index)
-        self.adjacency: dict[int, frozenset[int]] = {
-            index: frozenset(neighbors)
-            for index, neighbors in adjacency.items()
-        }
 
     def positive_predicates(self) -> frozenset[str]:
         return self.positive_preds
@@ -111,10 +95,16 @@ class RuleNode:
         """Variable-sharing adjacency between the positive atoms.
 
         ``graph[i]`` holds the indexes of the atoms sharing at least one
-        variable with atom ``i`` -- the structure a join order walks.
-        Precomputed at analysis time (see :attr:`adjacency`).
+        variable with atom ``i``.
         """
-        return self.adjacency
+        return {
+            a.index: frozenset(
+                b.index
+                for b in self.positive
+                if b is not a and a.variables & b.variables
+            )
+            for a in self.positive
+        }
 
     def variables(self) -> set[Variable]:
         out: set[Variable] = set()

@@ -2,9 +2,10 @@
 
 A :class:`PhysicalPlan` binds a
 :class:`~repro.datalog.plan.logical.LogicalPlan` to an ordering policy
-and executes it with the indexed join machinery (hash-index candidate
-enumeration, single mutable binding with an undo trail, checks scheduled
-as soon as their variables are bound):
+and executes it with compiled join kernels (see
+:mod:`repro.datalog.plan.kernels`): each rule's join order is memoized,
+compiled once into a closure chain over the id-bucket indexes, with
+checks scheduled as soon as their variables are bound:
 
 * :meth:`PhysicalPlan.execute` runs the full stratified fixpoint --
   the engine behind :func:`repro.datalog.evaluate.evaluate_program`;
@@ -28,16 +29,10 @@ from typing import Iterable, Mapping, Sequence
 
 from dataclasses import dataclass, fields
 
-from repro.config import env_flag
 from repro.errors import EvaluationError, PlanError
-from repro.datalog.ast import (
-    Constant,
-    Inequality,
-    NegatedAtom,
-    Variable,
-)
+from repro.datalog.ast import Inequality, NegatedAtom, Variable
 from repro.datalog.plan.cost import CostModel
-from repro.datalog.plan.kernels import Kernel, compile_kernel, kernels_enabled
+from repro.datalog.plan.kernels import Kernel, compile_kernel
 from repro.datalog.plan.logical import AtomNode, LogicalPlan, RuleNode
 from repro.datalog.plan.planner import (
     ORDERING_COST,
@@ -45,14 +40,10 @@ from repro.datalog.plan.planner import (
     ORDERINGS,
     cost_order,
     greedy_order,
-    joingraph_enabled,
 )
 from repro.relalg.indexes import FactStore
 
 Facts = Mapping[str, frozenset[tuple]]
-Binding = dict[Variable, object]
-
-_UNSET = object()
 
 
 def coerce_store(facts: "Facts | FactStore") -> FactStore:
@@ -61,106 +52,31 @@ def coerce_store(facts: "Facts | FactStore") -> FactStore:
     return FactStore(facts)
 
 
-def _term_value(term, binding: Binding):
-    if isinstance(term, Constant):
-        return term.value
-    if term in binding:
-        return binding[term]
-    return _UNSET
-
-
-def _check_bound_literal(literal, binding: Binding, store: FactStore) -> bool:
-    """Evaluate a fully-bound negated atom or inequality."""
+def _ground_check(literal, store: FactStore) -> bool:
+    """Evaluate a variable-free negated atom or inequality."""
     if isinstance(literal, NegatedAtom):
-        row = literal.atom.ground_tuple(binding)
+        row = literal.atom.ground_tuple({})
         return not store.contains(literal.atom.predicate, row)
     if isinstance(literal, Inequality):
-        return _term_value(literal.left, binding) != _term_value(
-            literal.right, binding
-        )
+        return literal.left.value != literal.right.value
     raise EvaluationError(f"not a checkable literal: {literal}")
-
-
-def _candidate_rows(atom, binding: Binding, store: FactStore):
-    """The rows of ``atom``'s relation compatible with ``binding``.
-
-    Uses a hash-index lookup on the bound positions; falls back to a
-    membership test when every position is bound and to a full scan when
-    none is.
-    """
-    positions: list[int] = []
-    key: list = []
-    for i, term in enumerate(atom.terms):
-        value = _term_value(term, binding)
-        if value is not _UNSET:
-            positions.append(i)
-            key.append(value)
-    if len(positions) == len(atom.terms):
-        row = tuple(key)
-        if store.contains(atom.predicate, row):
-            return (row,)
-        return ()
-    if positions:
-        return store.lookup(atom.predicate, tuple(positions), tuple(key))
-    return store.rows(atom.predicate)
-
-
-def _match_into(
-    atom, row: tuple, binding: Binding, trail: list[Variable]
-) -> bool:
-    """Extend ``binding`` in place so ``atom`` matches ``row``.
-
-    Newly bound variables are pushed on ``trail``; on mismatch the
-    caller unwinds via :func:`_undo_to`.  Index lookups already filtered
-    on the bound positions, so this only binds fresh variables and
-    re-checks repeated ones.
-    """
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return False
-        else:
-            bound = binding.get(term, _UNSET)
-            if bound is _UNSET:
-                binding[term] = value
-                trail.append(term)
-            elif bound != value:
-                return False
-    return True
-
-
-def _undo_to(binding: Binding, trail: list[Variable], mark: int) -> None:
-    while len(trail) > mark:
-        del binding[trail.pop()]
 
 
 class Orderer:
     """The join-order strategy bound to one store.
 
-    Callable as ``orderer(atoms, first, adjacency)``; cost ordering
-    needs live statistics, so without a store it degrades to the static
-    greedy order (the documented stats-absent fallback).  The instance
-    also carries the ingredients of the order-memo key (see
-    :meth:`CompiledRule.order_for`): the policy, whether join-graph
-    expansion is on, and the store whose relation sizes sign the memo.
+    Callable as ``orderer(atoms, first)``; cost ordering needs live
+    statistics, so without a store it degrades to the static greedy
+    order (the documented stats-absent fallback).  The instance also
+    carries the ingredients of the order-memo key (see
+    :meth:`CompiledRule.order_for`): the policy and the store whose
+    relation sizes sign the memo.
     """
 
-    __slots__ = ("policy", "store", "model", "joingraph", "kernels",
-                 "order_memo", "_sig_cache")
+    __slots__ = ("policy", "store", "model", "_sig_cache")
 
     def __init__(self, ordering: str, store: FactStore | None) -> None:
         self.store = store
-        # The kill switches are sampled once per orderer -- i.e. once
-        # per step/execute, not once per rule join -- so flipping the
-        # env mid-step is not observed (and os.environ stays off the
-        # per-join path).  REPRO_ORDER_MEMO=0 disables the per-rule
-        # join-order memo (benchmark ablations reconstructing the
-        # replan-per-join behaviour; not a supported production mode).
-        self.joingraph = joingraph_enabled()
-        self.kernels = kernels_enabled()
-        self.order_memo = env_flag(
-            "REPRO_ORDER_MEMO", default=True, error=PlanError
-        )
         self._sig_cache: dict[tuple[str, ...], tuple] = {}
         if ordering == ORDERING_COST and store is not None:
             self.policy = ORDERING_COST
@@ -173,16 +89,9 @@ class Orderer:
         self,
         positive: Sequence[AtomNode],
         first: AtomNode | None = None,
-        adjacency: Mapping[int, frozenset[int]] | None = None,
     ) -> list[AtomNode]:
         if self.model is not None:
-            return cost_order(
-                positive,
-                self.store,
-                self.model,
-                first,
-                adjacency if self.joingraph else None,
-            )
+            return cost_order(positive, self.store, self.model, first)
         return greedy_order(positive, self.store, first)
 
     def signature(self, predicates: Sequence[str]) -> tuple:
@@ -205,7 +114,7 @@ class Orderer:
             sizes = tuple(
                 store.count(pred).bit_length() for pred in predicates
             )
-        signature = (self.policy, self.joingraph, sizes)
+        signature = (self.policy, sizes)
         self._sig_cache[predicates] = signature
         return signature
 
@@ -251,7 +160,7 @@ class CompiledRule:
         """The join order for this rule under ``orderer``, memoized.
 
         Keyed by the delta occurrence and the orderer's signature
-        (policy + join-graph flag + bit-length relation sizes), so
+        (policy + bit-length relation sizes), so
         re-planning a rule is a dictionary hit until the body relations'
         cardinalities drift by ~2x.  ``replans_avoided`` counts the
         hits.
@@ -259,8 +168,6 @@ class CompiledRule:
         positive = self.node.positive
         if len(positive) <= 1:
             return positive
-        if not orderer.order_memo:
-            return orderer(positive, first, self.node.adjacency)
         key = (
             -1 if first is None else first.index,
             orderer.signature(self._order_preds),
@@ -270,7 +177,7 @@ class CompiledRule:
             if counters is not None:
                 counters.replans_avoided += 1
             return cached
-        order = orderer(positive, first, self.node.adjacency)
+        order = orderer(positive, first)
         if len(self._orders) >= _ORDER_MEMO_LIMIT:
             self._orders.clear()
         self._orders[key] = order
@@ -350,55 +257,21 @@ def _join(
     first_rows=None,
     counters: "EvalCounters | None" = None,
 ) -> None:
-    """Run the indexed join for one rule, adding head tuples to ``derived``.
+    """Run the compiled join for one rule, adding head tuples to ``derived``.
 
     With ``first``/``first_rows`` given, that occurrence is evaluated
     first and enumerates only ``first_rows`` (the semi-naive delta
-    restriction); the other atoms read the full store.  Dispatches to
-    the rule's compiled kernel unless ``REPRO_COMPILED_KERNELS=0``
-    selects the reference interpreter below.
+    restriction); the other atoms read the full store.
     """
-    node = crule.node
-    for check in node.pre_checks:
-        if not _check_bound_literal(check, {}, store):
+    for check in crule.node.pre_checks:
+        if not _ground_check(check, store):
             return
     order = crule.order_for(orderer, first, counters)
-    if orderer.kernels:
-        kernel = crule.kernel_for(order, counters)
-        if first_rows is not None:
-            kernel.run_delta(store, derived, first_rows)
-        else:
-            kernel.run_full(store, derived)
-        return
-    checks_at = crule.schedule(order)
-    head = node.rule.head
-    binding: Binding = {}
-    trail: list[Variable] = []
-    depth = len(order)
-
-    def extend(index: int) -> None:
-        if index == depth:
-            derived.add(head.ground_tuple(binding))
-            return
-        atom = order[index].atom
-        if index == 0 and first_rows is not None:
-            candidates = first_rows
-        else:
-            candidates = _candidate_rows(atom, binding, store)
-        slot_checks = checks_at[index]
-        for row in candidates:
-            if len(row) != atom.arity:
-                continue
-            mark = len(trail)
-            if _match_into(atom, row, binding, trail):
-                if all(
-                    _check_bound_literal(check, binding, store)
-                    for check in slot_checks
-                ):
-                    extend(index + 1)
-            _undo_to(binding, trail, mark)
-
-    extend(0)
+    kernel = crule.kernel_for(order, counters)
+    if first_rows is not None:
+        kernel.run_delta(store, derived, first_rows)
+    else:
+        kernel.run_full(store, derived)
 
 
 def derive_rule(
@@ -416,7 +289,7 @@ def derive_rule(
         # can never use such a rule (no positive occurrence to restrict).
         if delta is not None:
             return derived
-        if all(_check_bound_literal(c, {}, store) for c in node.pre_checks):
+        if all(_ground_check(c, store) for c in node.pre_checks):
             derived.add(node.rule.head.ground_tuple({}))
         return derived
     if delta is None:
@@ -814,7 +687,7 @@ class PhysicalPlan:
                 if not node.positive:
                     lines.append("    join: (no positive atoms)")
                 else:
-                    order = orderer(node.positive, None, node.adjacency)
+                    order = orderer(node.positive)
                     parts = []
                     bound: set[Variable] = set()
                     for info in order:

@@ -154,9 +154,8 @@ class TestPlannerCorrectness:
 
 JOINGRAPH_PROGRAM = "q(X, W) :- s(X), a(X, Y), c(W);"
 # s seeds the order (1 row); a shares X with s but enumerates 4 rows
-# per lookup, while the disconnected c has only 2.  Cost alone would
-# interleave the Cartesian atom (s -> c -> a); the join graph keeps the
-# connected component together (s -> a -> c).
+# per lookup, while c, disconnected from the rest of the join graph,
+# has only 2.
 JOINGRAPH_FACTS = {
     "s": frozenset({(0,)}),
     "a": frozenset({(0, 0), (0, 1), (0, 2), (0, 3)}),
@@ -174,42 +173,12 @@ class TestJoinGraphOrdering:
     def names(self, order):
         return [info.atom.predicate for info in order]
 
-    def test_connected_atoms_are_placed_before_disconnected_ones(self):
-        plan, node = self.orders()
-        store = FactStore(JOINGRAPH_FACTS)
-        orderer = plan.orderer(store)
-        with_graph = orderer(node.positive, None, node.adjacency)
-        without_graph = orderer(node.positive, None, None)
-        assert self.names(with_graph) == ["s", "a", "c"]
-        assert self.names(without_graph) == ["s", "c", "a"]
-        # Orders differ; fixpoints do not.
-        assert plan.execute(JOINGRAPH_FACTS)["q"] == frozenset(
-            (0, w) for w in (10, 11)
-        )
-
-    def test_kill_switch_restores_cost_only_expansion(self, monkeypatch):
-        plan, node = self.orders()
-        store = FactStore(JOINGRAPH_FACTS)
-        monkeypatch.setenv("REPRO_JOINGRAPH", "0")
-        orderer = plan.orderer(store)
-        assert not orderer.joingraph
-        assert self.names(orderer(node.positive, None, node.adjacency)) == [
-            "s", "c", "a",
-        ]
-
     def test_delta_occurrence_still_leads_the_order(self):
         plan, node = self.orders()
         orderer = plan.orderer(FactStore(JOINGRAPH_FACTS))
         first = node.positive[2]  # c, the disconnected atom
-        order = orderer(node.positive, first, node.adjacency)
+        order = orderer(node.positive, first)
         assert self.names(order) == ["c", "s", "a"]
-
-
-EXPLAIN_JOINGRAPH = """\
-plan: ordering=cost, 1 rules, 1 strata, nonrecursive
-stratum 1:
-  q(X, W) :- s(X), a(X, Y), c(W)
-    join: s(X) [rows=1, est=1] -> a(X, Y) [rows=4, est=4] -> c(W) [rows=2, est=2]"""
 
 
 EXPLAIN_PROGRAM = "p(X, Z) :- e(X, Y), f(Y, Z), X <> Z;"
@@ -237,10 +206,6 @@ class TestExplain:
     def test_golden_with_store(self):
         plan = compile_program(parse_program(EXPLAIN_PROGRAM))
         assert plan.explain(EXPLAIN_FACTS) == EXPLAIN_WITH_STORE
-
-    def test_golden_joingraph_order(self):
-        plan = compile_program(parse_program(JOINGRAPH_PROGRAM))
-        assert plan.explain(JOINGRAPH_FACTS) == EXPLAIN_JOINGRAPH
 
     def test_golden_without_store(self):
         plan = compile_program(parse_program(EXPLAIN_PROGRAM))

@@ -7,8 +7,10 @@ Covers the PR 8 contract:
   schedules that preserve per-session order);
 * every registered scenario is byte-identical across reruns with the
   same seed, serial-vs-concurrent identical under ``submit_batch``,
-  and clean under its own ``OnlineAuditor`` specs -- except the
-  adversarial scenario, whose violations are the point;
+  identical to the same run under the scan-based reference evaluator
+  (``naive_evaluation()``), and clean under its own ``OnlineAuditor``
+  specs -- except the adversarial scenario, whose violations are the
+  point;
 * ``run_scenario`` drives the identical traffic through ``PodService``,
   ``ShardedPodService``, session stores, a ``PodClient`` over HTTP,
   and ``python -m repro.server --scenario`` -- same digest everywhere;
@@ -34,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.commerce.models import build_friendly
 from repro.commerce.workloads import simulate_concurrent_customers
+from repro.datalog.evaluate import naive_evaluation
 from repro.errors import ScenarioError
 from repro.pods import JsonlDirectoryStore, PodService, SqliteStore
 from repro.scenarios import (
@@ -181,6 +184,17 @@ class TestEveryScenario:
         )
         assert serial.log_digest == threaded.log_digest
         assert serial.audit_violations == threaded.audit_violations
+
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_default_path_matches_the_naive_reference(self, name):
+        # The compiled kernels against the scan-based oracle, end to
+        # end: every step of every session, folded into one digest.
+        size = {"sessions": 8, "steps": 4, "seed": 3, "audit": False}
+        default = run_scenario(name, **size)
+        with naive_evaluation():
+            naive = run_scenario(name, **size)
+        assert default.log_digest is not None
+        assert default.log_digest == naive.log_digest
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     @given(seed=st.integers(min_value=0, max_value=40))
