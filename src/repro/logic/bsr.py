@@ -24,6 +24,18 @@ Existential quantifiers are only admitted outside the scope of any
 universal -- exactly the Bernays-Schoenfinkel discipline; anything else
 raises :class:`~repro.errors.NotInPrefixClassError`.
 
+Relations whose content is already fixed -- a database, the logged
+inputs of a run -- are passed as ``known``: a mapping from relation name
+to its rows.  The grounder evaluates an atom over a known relation
+against those rows instead of making it a propositional variable: a
+ground atom becomes true or false, and an atom with open existential
+variables keeps only the selector choices that ground it to a row.
+Under the unique-name assumption over the fixed domain this is exactly
+the unit propagation that the exact-content axioms of the proof of
+Theorem 3.1 would force, so verdicts are unchanged; the known rows'
+values join the domain, as their axioms' constants would, and the known
+relations are part of the extracted model.
+
 The resulting propositional formula goes through the Tseitin CNF
 builder to the DPLL solver.  On SAT, a finite model is extracted and
 (optionally) re-checked with the independent model checker.
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from repro.datalog.ast import Constant, Term, Variable
 from repro.errors import NotInPrefixClassError, SolverError
@@ -118,9 +131,20 @@ def _count_quantifiers(formula: Formula) -> tuple[int, int]:
 class _StructuralGrounder:
     """Grounds a rectified NNF sentence to a propositional formula."""
 
-    def __init__(self, domain: tuple, budget: int) -> None:
+    def __init__(
+        self,
+        domain: tuple,
+        budget: int,
+        known: Mapping[str, frozenset[tuple]],
+    ) -> None:
         self.domain = domain
         self.budget = budget
+        self.known = known
+        #: Known rows in a fixed order, so the clause order (and with it
+        #: the solver's work) does not depend on set iteration order.
+        self.ordered_rows = {
+            name: sorted(rows, key=repr) for name, rows in known.items()
+        }
         self.work = 0
         self.existentials: list[Variable] = []
         self.instantiations = 0
@@ -214,8 +238,13 @@ class _StructuralGrounder:
         open_vars = list(
             dict.fromkeys(v for v in resolved if isinstance(v, Variable))
         )
+        rows = self.known.get(atom.predicate)
         if not open_vars:
+            if rows is not None:
+                return PTrue() if tuple(resolved) in rows else PFalse()
             return PVar(("atom", atom.predicate, tuple(resolved)))
+        if rows is not None:
+            return self._ground_known(atom.predicate, resolved, open_vars)
         # Truth of the atom = some selected valuation of its existential
         # variables makes the ground atom true.  Shared selector
         # variables keep multiple occurrences of a variable consistent.
@@ -232,6 +261,29 @@ class _StructuralGrounder:
             ]
             parts.append(PVar(("atom", atom.predicate, grounded)))
             choices.append(pand(parts))
+        return por(choices)
+
+    def _ground_known(
+        self, predicate: str, resolved: list, open_vars: list[Variable]
+    ) -> PropFormula:
+        """An atom over a known relation: the selector choices that
+        ground it to one of the relation's rows."""
+        choices = []
+        for row in self.ordered_rows[predicate]:
+            self._spend()
+            if len(row) != len(resolved):
+                continue
+            assignment: dict[Variable, object] = {}
+            for term, value in zip(resolved, row):
+                if isinstance(term, Variable):
+                    if assignment.setdefault(term, value) != value:
+                        break
+                elif term != value:
+                    break
+            else:
+                choices.append(
+                    pand(self.selector(v, assignment[v]) for v in open_vars)
+                )
         return por(choices)
 
     def _ground_eq(
@@ -263,6 +315,7 @@ def decide_bsr(
     minimum_domain: int = 1,
     max_work: int = 5_000_000,
     verify_model: bool = False,
+    known: Mapping[str, Iterable[tuple]] | None = None,
 ) -> BsrResult:
     """Decide finite satisfiability of a BSR sentence.
 
@@ -285,6 +338,14 @@ def decide_bsr(
         model checker; a discrepancy raises :class:`SolverError`.  The
         test suite turns this on; production callers usually skip the
         exponential recheck.
+    known:
+        Relations whose content is fixed, as a mapping from relation
+        name to rows.  Their atoms are evaluated against the rows while
+        grounding rather than solved for, their values join the domain,
+        and the returned model interprets them as given.  Deciding
+        ``φ`` with ``known=K`` is equisatisfiable with deciding ``φ``
+        conjoined with exact-content axioms for ``K``, over the same
+        domain, at a fraction of the grounding and SAT work.
     """
     if formula.free_variables():
         raise SolverError(
@@ -294,8 +355,18 @@ def decide_bsr(
     normal = rectify(to_nnf(formula))
     k, m = _count_quantifiers(normal)
 
+    fixed = {
+        name: frozenset(tuple(row) for row in rows)
+        for name, rows in (known or {}).items()
+    }
+    known_values = {
+        value for rows in fixed.values() for row in rows for value in row
+    }
     constants = tuple(
-        sorted(formula.constants() | set(extra_constants), key=repr)
+        sorted(
+            formula.constants() | set(extra_constants) | known_values,
+            key=repr,
+        )
     )
     fresh_needed = max(k, minimum_domain - len(constants), 0)
     if not constants and fresh_needed == 0:
@@ -303,7 +374,7 @@ def decide_bsr(
     fresh = tuple(f"{_FRESH_PREFIX}{i}" for i in range(fresh_needed))
     domain = constants + fresh
 
-    grounder = _StructuralGrounder(domain, max_work)
+    grounder = _StructuralGrounder(domain, max_work, fixed)
     proposition = grounder.ground(normal, {}, set(), False)
 
     builder = CnfBuilder()
@@ -332,6 +403,7 @@ def decide_bsr(
     relations: dict[str, set[tuple]] = {
         pred: set() for pred in predicates_of(formula)
     }
+    relations.update((name, set(rows)) for name, rows in fixed.items())
     witnesses: dict[Variable, object] = {}
     for key, true in truths.items():
         if not true:

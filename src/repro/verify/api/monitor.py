@@ -58,7 +58,7 @@ from repro.logic.fol import (
 )
 from repro.logic.prenex import to_nnf
 from repro.logic.structures import Structure
-from repro.verify.logvalidity import check_log_validity
+from repro.verify.logvalidity import check_log_validity, coerce_log_entries
 from repro.verify.reachability import check_goal_reachability
 from repro.verify.tsdi import compile_tsdi
 
@@ -439,8 +439,6 @@ class LogValidityMonitor(StepMonitor):
     def observe(self, stage: StageView) -> list[str]:
         if self.latched:
             return []
-        from repro.verify.api.specs import coerce_log_entries
-
         entries = coerce_log_entries(self._reference, stage.log_so_far)
         result = check_log_validity(
             self._reference, self._database, entries, replay=False

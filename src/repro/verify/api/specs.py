@@ -24,15 +24,11 @@ verdicts aggregate their children's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import SpecError
 from repro.logic.fol import Formula
 from repro.verify.reachability import Goal
 from repro.verify.tsdi import TsdiConjunct, TsdiSentence
-
-if TYPE_CHECKING:
-    from repro.relalg.instance import Instance
 
 
 class PropertySpec:
@@ -213,21 +209,3 @@ class AnyOf(_Combinator):
         return self.name or (
             "any of: " + "; ".join(s.describe() for s in self.specs)
         )
-
-
-def coerce_log_entries(
-    transducer, log: Sequence
-) -> list["Instance"]:
-    """Coerce facts-dicts/instances onto the transducer's log schema."""
-    from repro.relalg.instance import Instance
-
-    schema = transducer.schema.log_schema
-    entries: list[Instance] = []
-    for entry in log:
-        if isinstance(entry, Instance):
-            if set(entry.schema.names) != set(schema.names):
-                entry = entry.project_onto(schema)
-            entries.append(entry)
-        else:
-            entries.append(Instance(schema, dict(entry)))
-    return entries

@@ -32,7 +32,7 @@ from repro.verify.containment import (
     check_pointwise_log_equality,
 )
 from repro.verify.errorfree import check_error_free_property
-from repro.verify.logvalidity import check_log_validity
+from repro.verify.logvalidity import check_log_validity, coerce_log_entries
 from repro.verify.reachability import check_goal_reachability
 from repro.verify.temporal import check_temporal_property
 from repro.verify.api.monitor import StageView, build_monitor
@@ -44,7 +44,6 @@ from repro.verify.api.specs import (
     LogValidity,
     PropertySpec,
     TemporalProperty,
-    coerce_log_entries,
 )
 from repro.verify.api.trace import (
     KIND_COUNTEREXAMPLE,

@@ -127,13 +127,13 @@ def _find_pointwise_difference(
             difference = _log_relation_difference(
                 name, step, encoder_one, encoder_two
             )
-            conjuncts: list[Formula] = [difference]
-            if db_instance is not None:
-                conjuncts.append(encoder_two.database_axioms(db_instance))
-            sentence = conjoin(conjuncts)
             extra = encoder_two.constants(database=db_instance)
             extra |= encoder_one.constants()
-            result = decide_bsr(sentence, extra_constants=tuple(sorted(extra, key=repr)))
+            result = decide_bsr(
+                difference,
+                extra_constants=tuple(sorted(extra, key=repr)),
+                known=encoder_two.known_database(db_instance),
+            )
             _accumulate(total, result.stats)
             if result.satisfiable:
                 assert result.model is not None

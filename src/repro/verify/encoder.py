@@ -306,7 +306,11 @@ class RunEncoder:
         )
 
     def database_axioms(self, database: Instance) -> Formula:
-        """Fix every database relation to its instance content."""
+        """Fix every database relation to its instance content.
+
+        The literal Theorem 3.1 encoding; the procedures pass
+        :meth:`known_database` to :func:`decide_bsr` instead.
+        """
         conjuncts = []
         for rel in self._transducer.schema.database:
             conjuncts.append(
@@ -318,34 +322,65 @@ class RunEncoder:
             )
         return conjoin(conjuncts)
 
+    # -- known content -----------------------------------------------------------------
+
+    def known_database(
+        self, database: Instance | None
+    ) -> dict[str, frozenset]:
+        """The database as ``known`` content for :func:`decide_bsr`.
+
+        Passing it as ``known`` decides the same sentences as
+        conjoining :meth:`database_axioms`, without grounding them.
+        ``None`` (an unknown database) fixes nothing.
+        """
+        if database is None:
+            return {}
+        return {
+            rel.name: frozenset(database[rel.name])
+            for rel in self._transducer.schema.database
+        }
+
+    def known_log_inputs(self, log: Sequence[Instance]) -> dict[str, frozenset]:
+        """The logged inputs ``R@j`` of ``log`` as ``known`` content.
+
+        The folded form of one :meth:`input_content_axiom` per logged
+        input relation and step.
+        """
+        self._check_log_length(log)
+        schema = self._transducer.schema
+        return {
+            step_relation(name, index + 1): frozenset(entry[name])
+            for index, entry in enumerate(log)
+            for name in schema.log
+            if name in schema.inputs
+        }
+
     # -- log axioms ---------------------------------------------------------------------
 
     def log_axioms(self, log: Sequence[Instance]) -> Formula:
-        """The sentence "the run's log equals ``log``" (Theorem 3.1).
+        """The output half of "the run's log equals ``log``" (Theorem 3.1).
 
+        One :meth:`output_content_axiom` per logged output relation and
+        step.  The logged inputs are not asserted here: they are fixed
+        by passing :meth:`known_log_inputs` to :func:`decide_bsr`.
         ``log`` must have exactly ``self.steps`` entries over the
         transducer's log schema.
         """
+        self._check_log_length(log)
         schema = self._transducer.schema
+        return conjoin(
+            self.output_content_axiom(name, index + 1, entry[name])
+            for index, entry in enumerate(log)
+            for name in schema.log
+            if name not in schema.inputs
+        )
+
+    def _check_log_length(self, log: Sequence[Instance]) -> None:
         if len(log) != self._steps:
             raise VerificationError(
                 f"log has {len(log)} steps, encoder was built for "
                 f"{self._steps}"
             )
-        conjuncts: list[Formula] = []
-        for index, entry in enumerate(log):
-            step = index + 1
-            for name in schema.log:
-                rows = entry[name]
-                if name in schema.inputs:
-                    conjuncts.append(
-                        self.input_content_axiom(name, step, rows)
-                    )
-                else:
-                    conjuncts.append(
-                        self.output_content_axiom(name, step, rows)
-                    )
-        return conjoin(conjuncts)
 
     # -- miscellany ---------------------------------------------------------------------
 

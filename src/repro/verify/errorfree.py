@@ -154,15 +154,13 @@ def _check_conjunct_clause(
     )
     violation = fol_exists(free_vars, conjoin(violation_parts))
 
-    conjuncts: list[Formula] = [
-        violation,
-        encoder.error_free_axioms(error_relation),
-    ]
-    if db_instance is not None:
-        conjuncts.append(encoder.database_axioms(db_instance))
-    sentence_fo = conjoin(conjuncts)
+    sentence_fo = conjoin([violation, encoder.error_free_axioms(error_relation)])
     extra = encoder.constants(database=db_instance)
-    result = decide_bsr(sentence_fo, extra_constants=tuple(sorted(extra, key=repr)))
+    result = decide_bsr(
+        sentence_fo,
+        extra_constants=tuple(sorted(extra, key=repr)),
+        known=encoder.known_database(db_instance),
+    )
     if not result.satisfiable:
         return None
     assert result.model is not None
@@ -253,17 +251,18 @@ def check_error_free_containment(
                 variables = sorted(rule_body.free_variables(), key=str)
                 prefix_clean.append(fol_forall(variables, Not(rule_body)))
 
-        conjuncts = [
+        sentence = conjoin([
             fires,
             conjoin(prefix_clean),
             encoder_one.error_free_axioms(error_relation),
-        ]
-        if db_instance is not None:
-            conjuncts.append(encoder_one.database_axioms(db_instance))
-        sentence = conjoin(conjuncts)
+        ])
         extra = encoder_one.constants(database=db_instance)
         extra |= encoder_two.constants()
-        result = decide_bsr(sentence, extra_constants=tuple(sorted(extra, key=repr)))
+        result = decide_bsr(
+            sentence,
+            extra_constants=tuple(sorted(extra, key=repr)),
+            known=encoder_one.known_database(db_instance),
+        )
         if result.satisfiable:
             assert result.model is not None
             witness = decode_input_sequence(second, steps, result.model)

@@ -2,11 +2,17 @@
 
 Given a Spocus transducer T, a database D, and a log sequence L, decide
 whether some input sequence I produces exactly L.  The reduction
-replicates the input schema once per log step, asserts the database
-content, and asserts that each log relation at each step has exactly
-the logged content -- input relations directly, output relations via
-their defining formulas.  The conjunction prenexes to an ∃*∀*FO
-sentence, which :func:`repro.logic.bsr.decide_bsr` decides.
+replicates the input schema once per log step and asserts that each
+logged output relation at each step has exactly the logged content, via
+its defining formulas.  The conjunction prenexes to an ∃*∀*FO sentence,
+which :func:`repro.logic.bsr.decide_bsr` decides.
+
+The database and the logged inputs ``R@j`` are *folded*, not asserted:
+their content is fixed, so they go to ``decide_bsr`` as ``known``
+relations, which the grounder evaluates in place.  That is equivalent
+to the paper's exact-content axioms (:meth:`RunEncoder.database_axioms`
+and :meth:`RunEncoder.input_content_axiom`) over the same domain, and
+leaves the unlogged inputs as the only relations the solver searches.
 
 When the answer is positive, the decoded witness input sequence is
 *replayed* through the real transducer and the produced log compared to
@@ -22,7 +28,6 @@ from typing import Sequence
 from repro.core.spocus import SpocusTransducer
 from repro.errors import VerificationError
 from repro.logic.bsr import GroundingStats, decide_bsr
-from repro.logic.fol import conjoin
 from repro.relalg.instance import Instance
 from repro.verify.deprecation import warn_legacy
 from repro.verify.encoder import (
@@ -49,9 +54,10 @@ class LogValidityResult:
     stats: GroundingStats = field(default_factory=GroundingStats)
 
 
-def _coerce_log(
+def coerce_log_entries(
     transducer: SpocusTransducer, log: LogLike
 ) -> list[Instance]:
+    """Coerce facts-dicts/instances onto the transducer's log schema."""
     schema = transducer.schema.log_schema
     coerced = []
     for entry in log:
@@ -92,18 +98,22 @@ def check_log_validity(
     :class:`~repro.verify.api.Verifier`, which adds typed verdicts and
     replayable counterexample traces.
     """
-    entries = _coerce_log(transducer, log)
+    entries = coerce_log_entries(transducer, log)
     if not entries:
         return LogValidityResult(valid=True, witness_inputs=[])
     encoder = RunEncoder(transducer, len(entries))
-    conjuncts = [encoder.log_axioms(entries)]
     db_instance: Instance | None = None
     if database is not None:
         db_instance = transducer.coerce_database(database)
-        conjuncts.append(encoder.database_axioms(db_instance))
-    sentence = conjoin(conjuncts)
     extra = encoder.constants(database=db_instance, log=entries)
-    result = decide_bsr(sentence, extra_constants=tuple(sorted(extra, key=repr)))
+    result = decide_bsr(
+        encoder.log_axioms(entries),
+        extra_constants=tuple(sorted(extra, key=repr)),
+        known={
+            **encoder.known_log_inputs(entries),
+            **encoder.known_database(db_instance),
+        },
+    )
     if not result.satisfiable:
         return LogValidityResult(valid=False, stats=result.stats)
 

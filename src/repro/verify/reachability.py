@@ -112,7 +112,7 @@ def check_goal_reachability(
     """
     db = transducer.coerce_database(database)
     encoder = RunEncoder(transducer, 2)
-    conjuncts: list[Formula] = [encoder.database_axioms(db)]
+    conjuncts: list[Formula] = []
 
     accumulated: dict[str, set[tuple]] = {
         rel.name: set() for rel in transducer.schema.inputs
@@ -131,7 +131,11 @@ def check_goal_reachability(
     for rows in accumulated.values():
         for row in rows:
             extra |= set(row)
-    result = decide_bsr(sentence, extra_constants=tuple(sorted(extra, key=repr)))
+    result = decide_bsr(
+        sentence,
+        extra_constants=tuple(sorted(extra, key=repr)),
+        known=encoder.known_database(db),
+    )
     if not result.satisfiable:
         return ReachabilityResult(False, stats=result.stats)
     assert result.model is not None

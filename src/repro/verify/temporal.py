@@ -156,15 +156,16 @@ def check_temporal_property(
     """
     encoder = RunEncoder(transducer, 2)
     violation = _translate(Not(property_formula), encoder, 2)
-    conjuncts: list[Formula] = [violation]
     db_instance: Instance | None = None
     if database is not None:
         db_instance = transducer.coerce_database(database)
-        conjuncts.append(encoder.database_axioms(db_instance))
-    sentence = to_nnf(conjoin(conjuncts))
     extra = encoder.constants(database=db_instance)
     extra |= {v for v in property_formula.constants()}
-    result = decide_bsr(sentence, extra_constants=tuple(sorted(extra, key=repr)))
+    result = decide_bsr(
+        to_nnf(violation),
+        extra_constants=tuple(sorted(extra, key=repr)),
+        known=encoder.known_database(db_instance),
+    )
     if not result.satisfiable:
         return TemporalVerdict(True, stats=result.stats)
     assert result.model is not None

@@ -1,6 +1,8 @@
 """Tests for the logic substrate: FOL, prenex, SAT, BSR."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog.ast import Constant as C
 from repro.datalog.ast import Variable as V
@@ -284,3 +286,109 @@ class TestBsr:
             ]
         )
         decide_bsr(f, verify_model=True)  # raises on mismatch
+
+
+# -- folding known relations -------------------------------------------------------
+
+_ARITY = {"p": 1, "q": 2, "r": 1}
+_CONSTANTS = ("a", "b", "c")
+#: Known rows draw on one value no sentence mentions, so folding must
+#: add the known relations' values to the domain as their axioms would.
+_ROW_VALUES = _CONSTANTS + ("d",)
+
+
+@st.composite
+def _bsr_sentences(draw):
+    """∃x̄ ∀ȳ φ over p/1, q/2, r/1 with a random quantifier-free φ."""
+    exist = tuple(V(f"e{i}") for i in range(draw(st.integers(0, 2))))
+    universal = tuple(V(f"u{i}") for i in range(draw(st.integers(0, 2))))
+    # Half variables, half constants, so atoms often repeat a variable.
+    terms = st.sampled_from([C(value) for value in _CONSTANTS])
+    if exist + universal:
+        terms = st.sampled_from(exist + universal) | terms
+    atoms = st.one_of(
+        st.builds(
+            lambda name, args: Rel(name, tuple(args[: _ARITY[name]])),
+            st.sampled_from(sorted(_ARITY)),
+            st.lists(terms, min_size=2, max_size=2),
+        ),
+        st.builds(Eq, terms, terms),
+    )
+    matrix = draw(
+        st.recursive(
+            atoms,
+            lambda sub: st.one_of(
+                st.builds(Not, sub),
+                st.builds(conjoin, st.lists(sub, min_size=1, max_size=3)),
+                st.builds(disjoin, st.lists(sub, min_size=1, max_size=3)),
+            ),
+            max_leaves=6,
+        )
+    )
+    return exists(exist, forall(universal, matrix))
+
+
+@st.composite
+def _known_instances(draw):
+    """Fixed content for a random subset of the relations."""
+    names = draw(st.sets(st.sampled_from(sorted(_ARITY))))
+    return {
+        name: draw(
+            st.frozensets(
+                st.tuples(*[st.sampled_from(_ROW_VALUES)] * _ARITY[name]),
+                max_size=4,
+            )
+        )
+        for name in sorted(names)
+    }
+
+
+def _exact_content_axioms(known):
+    """Theorem 3.1's axioms: every row is in R, and R holds nothing else."""
+    conjuncts = []
+    for name, rows in known.items():
+        xs = tuple(V(f"k{i}") for i in range(_ARITY[name]))
+        conjuncts.extend(
+            Rel(name, tuple(C(value) for value in row))
+            for row in sorted(rows)
+        )
+        cases = disjoin(
+            conjoin(Eq(var, C(value)) for var, value in zip(xs, row))
+            for row in sorted(rows)
+        )
+        conjuncts.append(forall(xs, Implies(Rel(name, xs), cases)))
+    return conjoin(conjuncts)
+
+
+class TestKnownRelations:
+    @given(_bsr_sentences(), _known_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_folding_matches_exact_content_axioms(self, sentence, known):
+        asserted = decide_bsr(
+            conjoin([sentence, _exact_content_axioms(known)]),
+            verify_model=True,
+        )
+        folded = decide_bsr(sentence, verify_model=True, known=known)
+        assert folded.satisfiable == asserted.satisfiable
+        assert folded.stats.domain_size == asserted.stats.domain_size
+        if folded.satisfiable:
+            for name, rows in known.items():
+                assert folded.model.tuples(name) == rows
+
+    def test_ground_atoms_fold_to_constants(self):
+        known = {"p": {("a",)}}
+        result = decide_bsr(Rel("p", (C("a"),)), known=known)
+        assert result.satisfiable
+        assert result.model.tuples("p") == {("a",)}
+        assert result.stats.cnf_variables == 0
+        assert not decide_bsr(Rel("p", (C("b"),)), known=known).satisfiable
+
+    def test_open_atom_keeps_matching_rows(self):
+        f = Exists((x,), conjoin([Rel("q", (x, x)), Not(Eq(x, C("a")))]))
+        known = {"q": {("a", "a"), ("b", "c"), ("c", "c")}}
+        result = decide_bsr(f, verify_model=True, known=known)
+        assert result.satisfiable
+        assert set(result.witnesses.values()) == {"c"}
+        assert not decide_bsr(
+            f, known={"q": {("a", "a"), ("b", "c")}}
+        ).satisfiable

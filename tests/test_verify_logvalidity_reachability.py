@@ -1,8 +1,18 @@
 """Tests for Theorem 3.1 (log validity) and 3.2 (goal reachability)."""
 
+import pytest
+
+from repro.commerce.catalog import CatalogGenerator
+from repro.commerce.models import build_friendly, build_short
+from repro.commerce.workloads import SessionGenerator, tamper_log
 from repro.datalog.ast import Variable as V
+from repro.logic.bsr import decide_bsr
+from repro.logic.fol import conjoin
 from repro.relalg.instance import Instance
+from repro.scenarios import get_scenario
 from repro.verify import Goal, is_goal_reachable, is_valid_log
+from repro.verify.encoder import RunEncoder
+from repro.verify.logvalidity import check_log_validity
 
 
 def log_entry(transducer, **facts):
@@ -78,6 +88,74 @@ class TestLogValidity:
     def test_dict_log_entries_accepted(self, short, catalog_db):
         entries = [{"sendbill": {("time", 55)}, "pay": set(), "deliver": set()}]
         assert is_valid_log(short, catalog_db, entries).valid
+
+
+def asserted_log_validity(transducer, database, entries):
+    """Theorem 3.1 as the paper encodes it: the database and every
+    logged relation pinned by exact-content axioms, nothing folded."""
+    encoder = RunEncoder(transducer, len(entries))
+    schema = transducer.schema
+    conjuncts = [encoder.log_axioms(entries)]
+    conjuncts.extend(
+        encoder.input_content_axiom(name, index + 1, entry[name])
+        for index, entry in enumerate(entries)
+        for name in schema.log
+        if name in schema.inputs
+    )
+    db = None
+    if database is not None:
+        db = transducer.coerce_database(database)
+        conjuncts.append(encoder.database_axioms(db))
+    extra = encoder.constants(database=db, log=entries)
+    return decide_bsr(
+        conjoin(conjuncts), extra_constants=tuple(sorted(extra, key=repr))
+    )
+
+
+def shopping_logs(transducer, sessions, length):
+    """Honest logs of generated sessions, each with a forged twin."""
+    for seed in range(sessions):
+        catalog = CatalogGenerator(seed=seed).generate(3)
+        database = catalog.as_database()
+        script = SessionGenerator(
+            catalog, seed=seed, error_rate=0.3
+        ).session(1 + seed % length)
+        logs = list(transducer.run(database, script).logs)
+        yield database, logs, True
+        yield database, list(tamper_log(logs, catalog, seed=seed)), None
+
+
+class TestFoldedLogValidity:
+    """Folding the database and logged inputs into grounding decides
+    the same logs as asserting them with exact-content axioms."""
+
+    @pytest.mark.parametrize("build", [build_short, build_friendly])
+    def test_verdicts_match_exact_content_axioms(self, build):
+        transducer = build()
+        verdicts = []
+        for database, logs, honest in shopping_logs(transducer, 20, 5):
+            for db in (database, None):
+                folded = check_log_validity(transducer, db, logs, replay=True)
+                asserted = asserted_log_validity(transducer, db, logs)
+                assert folded.valid == asserted.satisfiable
+                assert folded.stats.domain_size == asserted.stats.domain_size
+                if honest:
+                    assert folded.valid
+                verdicts.append(folded.valid)
+        assert True in verdicts and False in verdicts
+
+    def test_fraud_detection_check_grounds_fewer_clauses(self):
+        scenario = get_scenario("fraud-detection")
+        transducer = scenario.build_transducer()
+        database = scenario.database(seed=1)
+        script = scenario.session_script(
+            0, seed=1, scale=scenario.default_scale, length=4
+        )
+        logs = list(transducer.run(database, script).logs)
+        folded = check_log_validity(transducer, database, logs)
+        asserted = asserted_log_validity(transducer, database, logs)
+        assert folded.valid and asserted.satisfiable
+        assert folded.stats.cnf_clauses < asserted.stats.cnf_clauses
 
 
 class TestGoalReachability:
